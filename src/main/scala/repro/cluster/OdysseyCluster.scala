@@ -16,6 +16,9 @@ import repro.spark.{BuildStatRow, ChunkReport, DistributedSearch, QueryStatRow}
   * @param steal       enable inter-node work stealing inside groups
   * @param bsfShare    share initial BSFs across replication groups (the
   *                    BSF-sharing channel + book-keeping array of §3.4)
+  *
+  * Every node runs `threads` worker threads, and a steal victim gives away
+  * the queues of at most `nSend` RS-batches.
   */
 final case class ClusterConfig(
     nNodes: Int,
@@ -26,9 +29,10 @@ final case class ClusterConfig(
     bsfShare: Boolean = true,
     params: SearchParams = SearchParams(),
     indexConfig: IndexConfig = IndexConfig(),
-    thresholds: Option[(SigmoidFit, Double)] = None,
-    threads: Int = CostModel.ThreadsPerNode,
-    nSend: Int = 4)
+    thresholds: Option[(SigmoidFit, Double)] = None) {
+  val threads: Int = CostModel.ThreadsPerNode
+  val nSend: Int = 4
+}
 
 /** Everything an experiment needs: exact answers, the three simulated
   * times of the paper's evaluation (buffer, tree, query answering), and
@@ -108,7 +112,7 @@ object OdysseyCluster {
       topK = qs.topKDists.zip(qs.topKIds).toList,
       approxBsf = qs.approxBsf, approxOps = qs.approxOps,
       batchOps = qs.batchOps.toArray,
-      pqStats = qs.tasks.iterator.map(t => repro.index.PqStat(t.batchId, t.topLb, t.leaves, t.procOps)).toArray,
+      pqStats = qs.tasks.toArray,
       totalOps = qs.totalOps, nLeavesTouched = 0L, nRealDists = qs.nRealDists)
 
   /** Fit the paper's linear cost predictor (Fig. 4) on training queries run

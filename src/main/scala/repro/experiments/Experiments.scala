@@ -1,5 +1,6 @@
 package repro.experiments
 
+import scala.collection.immutable.ListMap
 import org.apache.spark.sql.SparkSession
 import repro.baselines.Competitors
 import repro.cluster._
@@ -11,9 +12,9 @@ import repro.index.{Dtw, IndexConfig, SearchParams}
   *
   * Each runner returns a rendered [[Table]] of the numbers the paper plots;
   * the bench suites print these tables (recorded in EXPERIMENTS.md) and
-  * assert the paper's qualitative claims; the spark-submit jobs print them
-  * standalone. Sizes default to reproduction scale (10^3-10^4 series) and
-  * can be scaled through `Scale`.
+  * assert the paper's qualitative claims; the spark-submit entry point
+  * prints them standalone through [[exhibits]]. Sizes default to
+  * reproduction scale (10^3-10^4 series) and can be scaled through `Scale`.
   */
 object Experiments {
 
@@ -337,4 +338,30 @@ object Experiments {
     }
     Table(title, "strategy" +: nodeCounts.map(n => s"$n nodes"), rows)
   }
+
+  // --------------------------------------------------------------- registry
+  /** Every exhibit by name, as the tables it prints at a given scale
+    * (Fig. 12 and Fig. 17a-c fix their own sizes; Table 1 needs no Spark).
+    */
+  val exhibits: ListMap[String, (SparkSession, Scale) => Seq[Table]] = ListMap(
+    "Table1Datasets"        -> ((_, s) => Seq(table1(s))),
+    "Fig04Prediction"       -> ((spark, s) => Seq(fig04Prediction(spark, s))),
+    "Fig06Threshold"        -> { (spark, s) => val (a, b) = fig06Threshold(spark, s); Seq(a, b) },
+    "Fig10Scheduling"       -> ((spark, s) => Seq(fig10Scheduling(spark, s))),
+    "Fig11QueryScalability" -> ((spark, s) => Seq(fig11QueryScalability(spark, s))),
+    "Fig12DataSize"         -> ((spark, _) => Seq(fig12DataSize(spark), fig12DataSize(spark, dataset = "Yan-TtI"))),
+    "Fig13Throughput"       -> ((spark, s) => Seq(fig13Throughput(spark, s))),
+    "Fig14IndexSize"        -> ((spark, s) => Seq(fig14IndexSize(spark, s))),
+    "Fig15Replication"      -> { (spark, s) => val (a, b) = fig15Replication(spark, s); Seq(a, b) },
+    "Fig16RealDatasets"     -> ((spark, s) => Seq(fig16RealDatasets(spark, s))),
+    "Fig17IndexScalability" -> { (spark, _) => val (a, b, c) = fig17IndexScalability(spark); Seq(a, b, c) },
+    "Fig17dCompetitors"     -> ((spark, s) => Seq(fig17dCompetitors(spark, s))),
+    "Fig18Knn"              -> ((spark, s) => Seq(fig18Knn(spark, s))),
+    "Fig19Dtw"              -> ((spark, s) => Seq(fig19Dtw(spark, s))),
+  )
+
+  /** The runner registered as `name`; an unknown name lists the known ones. */
+  def exhibit(name: String): (SparkSession, Scale) => Seq[Table] =
+    exhibits.getOrElse(name, throw new IllegalArgumentException(
+      s"unknown exhibit '$name'; known exhibits: ${exhibits.keys.mkString(", ")}"))
 }

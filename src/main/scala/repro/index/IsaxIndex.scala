@@ -50,9 +50,12 @@ final class IsaxIndex private (val config: IndexConfig, val length: Int) {
   private val rootMap = mutable.HashMap.empty[Int, TreeNode]
   private var _nSeries = 0L
   private var _treeOps = 0L
+  private var _rootsSorted: Array[(Int, TreeNode)] = _
 
-  /** Root subtrees ordered by packed first-bit word (stable RS-batch ids). */
-  def rootsSorted: Array[(Int, TreeNode)] = rootMap.toArray.sortBy(_._1)
+  /** Root subtrees ordered by packed first-bit word (stable RS-batch ids),
+    * sorted once when `build` finishes. Callers must not mutate it.
+    */
+  def rootsSorted: Array[(Int, TreeNode)] = _rootsSorted
 
   /** Summarization-buffer histogram: packed root word -> series count. */
   def bufferCounts: Map[Int, Int] = rootMap.view.mapValues(countEntries).toMap
@@ -147,6 +150,7 @@ object IsaxIndex {
     }
     require(idx != null, "cannot build an index over an empty chunk")
     cost.add(idx._treeOps)
+    idx._rootsSorted = idx.rootMap.toArray.sortBy(_._1)
     idx
   }
 }

@@ -3,20 +3,17 @@ package repro.spark
 import org.apache.spark.sql.SparkSession
 import repro.core.Cost
 import repro.core.SeriesGen.DatasetSpec
-import repro.index.{IndexConfig, IsaxIndex, Search, SearchParams}
+import repro.index.{IndexConfig, IsaxIndex, PqStat, Search, SearchParams}
 import repro.index.ThresholdModel.SigmoidFit
 
-/** One processed priority queue, flattened for the driver. */
-final case class PqTaskRow(batchId: Int, topLb: Double, leaves: Int, procOps: Long)
-
 /** Per-(chunk, query) measurement: the local answer plus the op breakdown
-  * the cluster simulator needs.
+  * the cluster simulator needs (`tasks` = the run's processed PQs, in order).
   */
 final case class QueryStatRow(
     chunk: Int, qid: Int,
     topKDists: Seq[Double], topKIds: Seq[Long],
     approxBsf: Double, approxOps: Long,
-    batchOps: Seq[Long], tasks: Seq[PqTaskRow],
+    batchOps: Seq[Long], tasks: Seq[PqStat],
     totalOps: Long, nRealDists: Long) {
   def bestDist: Double = if (topKDists.isEmpty) Double.PositiveInfinity else topKDists.head
   def bestId: Long = if (topKIds.isEmpty) -1L else topKIds.head
@@ -69,8 +66,7 @@ object DistributedSearch {
           QueryStatRow(chunk, qid,
             topKDists = run.topK.map(_._1), topKIds = run.topK.map(_._2),
             approxBsf = run.approxBsf, approxOps = run.approxOps,
-            batchOps = run.batchOps.toSeq,
-            tasks = run.pqStats.iterator.map(s => PqTaskRow(s.batchId, s.topLb, s.leaves, s.procOps)).toSeq,
+            batchOps = run.batchOps.toSeq, tasks = run.pqStats.toSeq,
             totalOps = run.totalOps, nRealDists = run.nRealDists)
         }
         Iterator.single(ChunkReport(build, queryRows))

@@ -4,7 +4,7 @@ import repro.SparkSpec
 import repro.baselines.Competitors
 import repro.core.SeriesGen
 import repro.core.SeriesGen.presets
-import repro.index.{Search, SearchParams}
+import repro.index.{IndexConfig, Search, SearchParams}
 
 class OdysseyClusterSpec extends SparkSpec {
 
@@ -123,5 +123,34 @@ class OdysseyClusterSpec extends SparkSpec {
     // require that stealing never hurts materially
     assert(ws.querySecs <= ns.querySecs * 1.1 + 1e-6,
            s"steal=${ws.querySecs} nosteal=${ns.querySecs}")
+  }
+
+  test("golden RunResult values for configurations that steal") {
+    // Pinned simulator outputs: a refactor of the task records, the planner
+    // or the steal simulator must reproduce them exactly.
+    val spec = presets.seismic(4096)
+    val queries = SeriesGen.queries(spec, 40)
+    val ic = IndexConfig(w = 8, leafCapacity = 32)
+    val sp = SearchParams(threshold = 16)
+    val predictor = OdysseyCluster.trainPredictor(spark, spec, nTrain = 24, indexConfig = ic)
+    val fit = OdysseyCluster.trainThreshold(spark, spec, nTrain = 24, indexConfig = ic)
+    def cfg(nNodes: Int, k: Int, sched: SchedulerKind) =
+      ClusterConfig(nNodes, k, eqSplit, sched, params = sp, indexConfig = ic)
+    // (querySecs, bufferSecs, treeSecs, indexBytes, nSteals, summed totalOps)
+    val golden = Seq(
+      ("FULL, PREDICT-DN", cfg(8, 1, PredictDn), Some(predictor),
+        (6.625339999999999E-4, 6.5536E-4, 1.243875E-5, 1100800L, 2, 1080337L)),
+      ("PARTIAL-2, PREDICT-DN", cfg(8, 2, PredictDn), Some(predictor),
+        (8.843100000000002E-4, 3.3232E-4, 4.259375E-6, 534784L, 1, 1274344L)),
+      ("PARTIAL-2 of 16, PREDICT-DN, sigmoid TH", cfg(16, 2, PredictDn).copy(thresholds = Some((fit, 16.0))),
+        Some(predictor), (3.0263999999999996E-4, 3.3232E-4, 4.259375E-6, 1069568L, 4, 1264875L)),
+      ("PARTIAL-4 of 16, DYNAMIC", cfg(16, 4, Dynamic), None,
+        (7.014549999999999E-4, 1.6688E-4, 1.64125E-6, 568320L, 1, 1503401L)))
+    golden.foreach { case (name, c, pred, want) =>
+      val r = OdysseyCluster.run(spark, spec, queries, c, pred)
+      val got = (r.querySecs, r.bufferSecs, r.treeSecs, r.indexBytes, r.nSteals,
+                 r.queryStats.map(_.totalOps).sum)
+      assert(got == want, name)
+    }
   }
 }

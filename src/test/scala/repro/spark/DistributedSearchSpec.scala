@@ -20,9 +20,12 @@ class DistributedSearchSpec extends SparkSpec {
       val answers = DistributedSearch.mergeAnswers(reports, k = 1)
       val answersDf = answers.toSeq.map { case (qid, topk) => (qid, topk.head._1) }
         .toDF("qid", "nndist")
+      val exploded = SeriesFrame.explodedSeries(spark, spec)
+      assert(exploded.columns.toSeq == Seq("id", "pos", "val"))
+      assert(exploded.count() == n.toLong * spec.length)
       Oracle.assertEquivalent(
         answersDf, SeriesFrame.BruteForceNnSql,
-        "series"  -> SeriesFrame.explodedSeries(spark, spec),
+        "series"  -> exploded,
         "queries" -> SeriesFrame.explodedQueries(spark, queries))
     }
   }
@@ -116,14 +119,5 @@ class DistributedSearchSpec extends SparkSpec {
     val reports = DistributedSearch.run(spark, spec, _ => 0, queries, SearchParams(),
                                         thresholds = Some((fit, 16.0)))
     reports.flatMap(_.queries).flatMap(_.tasks).foreach(t => assert(t.leaves <= 3))
-  }
-
-  test("SynthData data-series entry points produce the documented shapes") {
-    val df = repro.SynthData.dataSeries(spark, "Deep", 50)
-    assert(df.columns.toSeq == Seq("id", "values"))
-    assert(df.count() == 50)
-    val ex = repro.SynthData.dataSeriesExploded(spark, "Deep", 10)
-    assert(ex.columns.toSeq == Seq("id", "pos", "val"))
-    assert(ex.count() == 10L * 96)
   }
 }
