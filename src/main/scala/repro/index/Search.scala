@@ -46,10 +46,13 @@ final case class QueryRun(
   def bestId: Long = if (topK.isEmpty) -1L else topK.head._2
 }
 
-/** Precomputed query context shared by all phases. */
+/** Precomputed query context shared by all phases. A query with a NaN or
+  * ±∞ value (any non-finite PAA mean) is rejected.
+  */
 final class QueryCtx(val values: Array[Double], val mode: Mode, w: Int,
                      segSizes: Array[Int]) {
   val paa: Array[Double] = repro.core.Paa.of(values, w)
+  IsaxIndex.requireFinite(paa, "query")
   val sax: Array[Int] = ISax.word(paa)
   // DTW-only: LB_Keogh envelope and its PAAs
   val (envUp, envLo): (Array[Double], Array[Double]) = mode match {
@@ -67,25 +70,62 @@ final class QueryCtx(val values: Array[Double], val mode: Mode, w: Int,
     case Dtw(_)    => ISax.mindistEnvToWord(envUpPaa, envLoPaa, segSizes, node.word, node.bits)
   }
 
-  private val fullBits = Array.fill(w)(ISax.MaxBits)
-
-  /** Lower bound of the real distance for a single indexed entry, from its
-    * full-cardinality word (the index stores words, not PAAs — MESSI-style).
+  /** Per-segment MINDIST terms at full cardinality: entry `seg * 256 + sym`
+    * is exactly the `segSizes(seg) * d * d` that `ISax.mindistPaaToWord`
+    * (or `mindistEnvToWord` for DTW) adds for symbol `sym` at `MaxBits`.
+    * Built on the first entry-level bound, so approximate-only use skips it.
     */
-  def entryLb(e: Entry): Double = mode match {
-    case Euclidean => ISax.mindistPaaToWord(paa, segSizes, e.sax, fullBits)
-    case Dtw(_)    => ISax.mindistEnvToWord(envUpPaa, envLoPaa, segSizes, e.sax, fullBits)
+  private lazy val symTable: Array[Double] = {
+    val card = 1 << ISax.MaxBits
+    val bp = ISax.breakpoints(ISax.MaxBits) // regionLo(sym) = bp(sym - 1), regionHi(sym) = bp(sym)
+    val t = new Array[Double](w * card)
+    var seg = 0
+    while (seg < w) {
+      // the query's value range in this segment: a point for ED, the envelope for DTW
+      val (up, lo) = mode match {
+        case Euclidean => (paa(seg), paa(seg))
+        case Dtw(_)    => (envUpPaa(seg), envLoPaa(seg))
+      }
+      val size = segSizes(seg)
+      var sym = 0
+      while (sym < card) {
+        val rlo = if (sym == 0) Double.NegativeInfinity else bp(sym - 1)
+        val rhi = if (sym == card - 1) Double.PositiveInfinity else bp(sym)
+        val d = if (lo > rhi) lo - rhi else if (up < rlo) rlo - up else 0.0
+        t(seg * card + sym) = size * d * d
+        sym += 1
+      }
+      seg += 1
+    }
+    t
   }
 
-  /** Real distance, early-abandoning against `bound`. For DTW a LB_Keogh
-    * cascade runs first (itself a DTW lower bound).
+  /** Lower bound of the real distance for the indexed series at `pos` of
+    * `words` (w full-cardinality symbols per series). Sums the symbol
+    * table in segment order, so it is bit-identical to the MINDIST of the
+    * word at full cardinality.
     */
-  def realDist(e: Entry, bound: Double, cost: Cost): Double = mode match {
-    case Euclidean => Distances.edEarlyAbandon(values, e.values, bound, cost)
+  def entryLb(words: Array[Byte], pos: Int): Double = {
+    val t = symTable
+    val off = pos * w
+    var acc = 0.0
+    var seg = 0
+    while (seg < w) {
+      acc += t((seg << ISax.MaxBits) + (words(off + seg) & 0xFF))
+      seg += 1
+    }
+    math.sqrt(acc)
+  }
+
+  /** Real distance to `series`, early-abandoning against `bound`. For DTW
+    * a LB_Keogh cascade runs first (itself a DTW lower bound).
+    */
+  def realDist(series: Array[Double], bound: Double, cost: Cost): Double = mode match {
+    case Euclidean => Distances.edEarlyAbandon(values, series, bound, cost)
     case Dtw(r) =>
-      val lbk = Distances.lbKeogh(e.values, envUp, envLo, bound, cost)
+      val lbk = Distances.lbKeogh(series, envUp, envLo, bound, cost)
       if (lbk >= bound) Double.PositiveInfinity
-      else Distances.dtwBand(values, e.values, r, bound, cost)
+      else Distances.dtwBand(values, series, r, bound, cost)
   }
 }
 
@@ -117,8 +157,8 @@ object Search {
     val heap = new KnnHeap(k)
     val roots = index.rootsSorted
     if (roots.isEmpty) return heap
-    val qKey = ISax.rootKey(ctx.sax)
-    val root = roots.find(_._1 == qKey).map(_._2).getOrElse {
+    val r = rootOf(roots, ISax.rootKey(ctx.sax))
+    val root = if (r >= 0) roots(r)._2 else {
       // no matching subtree: take the root with the smallest lower bound
       cost.add(roots.length.toLong * ctx.paa.length)
       roots.minBy { case (_, n) => ctx.nodeLb(n) }._2
@@ -130,15 +170,34 @@ object Search {
       val bit = (ctx.sax(node.splitSeg) >>> (ISax.MaxBits - b - 1)) & 1
       val next = if (bit == 0) node.child0 else node.child1
       // an empty sibling can exist right after a split; fall to the other
-      node = if (next.isLeaf && next.entries.isEmpty) (if (bit == 0) node.child1 else node.child0)
+      node = if (next.isLeaf && next.size == 0) (if (bit == 0) node.child1 else node.child0)
              else next
-      if (node.isLeaf && node.entries.isEmpty) return heap
+      if (node.isLeaf && node.size == 0) return heap
     }
-    node.entries.foreach { e =>
-      val d = ctx.realDist(e, heap.bound, cost)
-      heap.offer(d, e.id)
+    val ids = index.ids
+    val series = index.series
+    var i = node.start
+    while (i < node.start + node.size) {
+      heap.offer(ctx.realDist(series(i), heap.bound, cost), ids(i))
+      i += 1
     }
     heap
+  }
+
+  /** Index of the root with packed word `key` in the key-sorted `roots`,
+    * or -1 when there is none.
+    */
+  private def rootOf(roots: Array[(Int, TreeNode)], key: Int): Int = {
+    var lo = 0
+    var hi = roots.length - 1
+    while (lo <= hi) {
+      val mid = (lo + hi) >>> 1
+      val k = roots(mid)._1
+      if (k < key) lo = mid + 1
+      else if (k > key) hi = mid - 1
+      else return mid
+    }
+    -1
   }
 
   /** Exact search (§3.2.1): approximate phase for the initial BSF, tree
@@ -173,6 +232,7 @@ object Search {
     // (batchId, leaves-with-lb, topLb) per priority queue
     val pqs = mutable.ArrayBuffer.empty[(Int, mutable.ArrayBuffer[(TreeNode, Double)])]
     var leavesTouched = 0L
+    val stack = mutable.ArrayDeque.empty[TreeNode] // empty again after every root
 
     // ---- tree traversal phase: prune with the initial bound ----
     var b = 0
@@ -184,14 +244,14 @@ object Search {
       def flush(): Unit = { if (active.nonEmpty) { pqs += ((b, active)); active = mutable.ArrayBuffer.empty } }
       var r = lo
       while (r < hi) {
-        val stack = mutable.ArrayDeque[TreeNode](roots(r)._2)
+        stack.append(roots(r)._2)
         while (stack.nonEmpty) {
           val node = stack.removeLast()
           cost.add(ctx.paa.length)
           val lb = ctx.nodeLb(node)
           if (lb < bound) {
             if (node.isLeaf) {
-              if (node.entries.nonEmpty) {
+              if (node.size > 0) {
                 active += ((node, lb))
                 leavesTouched += 1
                 if (active.length >= th) flush()
@@ -213,6 +273,9 @@ object Search {
     }.sortBy(_._3).toArray
 
     // ---- PQ processing phase ----
+    val ids = index.ids
+    val words = index.words
+    val series = index.series
     var nReal = 0L
     val stats = new Array[PqStat](ordered.length)
     var p = 0
@@ -225,17 +288,16 @@ object Search {
         val (leaf, lb) = leaves(li)
         if (lb >= bound) abandoned = true // queue is lb-sorted: the rest prune too
         else {
-          val entries = leaf.entries
-          var ei = 0
-          while (ei < entries.length) {
-            val e = entries(ei)
+          val end = leaf.start + leaf.size
+          var i = leaf.start
+          while (i < end) {
             cost.add(ctx.paa.length)
-            if (ctx.entryLb(e) < bound) {
-              val d = ctx.realDist(e, bound, cost)
+            if (ctx.entryLb(words, i) < bound) {
+              val d = ctx.realDist(series(i), bound, cost)
               nReal += 1
-              if (heap.offer(d, e.id)) bound = math.min(bound, heap.bound)
+              if (heap.offer(d, ids(i))) bound = math.min(bound, heap.bound)
             }
-            ei += 1
+            i += 1
           }
         }
         li += 1

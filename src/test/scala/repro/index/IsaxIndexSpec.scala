@@ -1,7 +1,7 @@
 package repro.index
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.core.{Cost, ISax, SeriesGen}
+import repro.core.{Cost, ISax, Paa, SeriesGen}
 import repro.core.SeriesGen.presets
 
 class IsaxIndexSpec extends AnyFunSuite {
@@ -15,11 +15,24 @@ class IsaxIndexSpec extends AnyFunSuite {
     if (root.isLeaf) Seq(root)
     else collectLeaves(root.child0) ++ collectLeaves(root.child1)
 
+  /** Positions of a leaf's series in the index's leaf-ordered arrays. */
+  private def positions(leaf: TreeNode): Range = leaf.start until leaf.start + leaf.size
+
+  private def symbol(idx: IsaxIndex, pos: Int, seg: Int): Int = idx.words(pos * idx.config.w + seg) & 0xFF
+
+  private def symbols(idx: IsaxIndex, pos: Int): Array[Int] =
+    Array.tabulate(idx.config.w)(symbol(idx, pos, _))
+
+  private def withValue(v: Double): Seq[(Long, Array[Double])] = {
+    val data = dataset(20)
+    data.updated(7, (7L, data(7)._2.updated(100, v)))
+  }
+
   for (n <- Seq(50, 300, 1000); cap <- Seq(8, 32); w <- Seq(4, 8)) {
     test(s"index holds every series exactly once (n=$n, cap=$cap, w=$w)") {
       val idx = IsaxIndex.build(dataset(n).iterator, IndexConfig(w, cap))
       val ids = idx.rootsSorted.flatMap { case (_, r) => collectLeaves(r) }
-        .flatMap(_.entries).map(_.id)
+        .flatMap(positions).map(idx.ids(_))
       assert(ids.length == n)
       assert(ids.toSet == (0L until n.toLong).toSet)
       assert(idx.nSeries == n)
@@ -30,7 +43,7 @@ class IsaxIndexSpec extends AnyFunSuite {
     val idx = IsaxIndex.build(dataset(2000).iterator, IndexConfig(w = 8, leafCapacity = 16))
     idx.rootsSorted.foreach { case (_, root) =>
       collectLeaves(root).foreach { leaf =>
-        if (leaf.entries.length > 16) assert(leaf.bits.forall(_ == ISax.MaxBits))
+        if (leaf.size > 16) assert(leaf.bits.forall(_ == ISax.MaxBits))
       }
     }
   }
@@ -39,10 +52,10 @@ class IsaxIndexSpec extends AnyFunSuite {
     val idx = IsaxIndex.build(dataset(800).iterator, IndexConfig(w = 8, leafCapacity = 8))
     idx.rootsSorted.foreach { case (_, root) =>
       collectLeaves(root).foreach { leaf =>
-        leaf.entries.foreach { e =>
+        positions(leaf).foreach { pos =>
           leaf.bits.indices.foreach { seg =>
             val b = leaf.bits(seg)
-            assert((e.sax(seg) >>> (ISax.MaxBits - b)) == leaf.word(seg),
+            assert((symbol(idx, pos, seg) >>> (ISax.MaxBits - b)) == leaf.word(seg),
                    s"seg=$seg bits=$b")
           }
         }
@@ -54,7 +67,7 @@ class IsaxIndexSpec extends AnyFunSuite {
     val idx = IsaxIndex.build(dataset(800).iterator, IndexConfig(w = 4, leafCapacity = 8))
     def walk(node: TreeNode): Unit =
       if (!node.isLeaf) {
-        assert(node.entries == null)
+        assert(node.size == 0)
         val seg = node.splitSeg
         Seq(node.child0, node.child1).zipWithIndex.foreach { case (c, bit) =>
           assert(c.bits(seg) == node.bits(seg) + 1)
@@ -68,8 +81,8 @@ class IsaxIndexSpec extends AnyFunSuite {
   test("root keys agree with the entries they hold") {
     val idx = IsaxIndex.build(dataset(500).iterator, IndexConfig(w = 8, leafCapacity = 16))
     idx.rootsSorted.foreach { case (key, root) =>
-      collectLeaves(root).flatMap(_.entries).foreach { e =>
-        assert(ISax.rootKey(e.sax) == key)
+      collectLeaves(root).flatMap(positions).foreach { pos =>
+        assert(ISax.rootKey(symbols(idx, pos)) == key)
       }
     }
   }
@@ -79,7 +92,37 @@ class IsaxIndexSpec extends AnyFunSuite {
     val counts = idx.bufferCounts
     assert(counts.values.sum == 600)
     idx.rootsSorted.foreach { case (key, root) =>
-      assert(counts(key) == collectLeaves(root).map(_.entries.length).sum)
+      assert(counts(key) == collectLeaves(root).map(_.size).sum)
+    }
+  }
+
+  for (cap <- Seq(4, 32); w <- Seq(4, 8, 16)) {
+    test(s"leaf ranges tile the arrays in rootsSorted DFS order (cap=$cap, w=$w)") {
+      val data = dataset(700)
+      val idx = IsaxIndex.build(data.iterator, IndexConfig(w, cap))
+      var next = 0
+      idx.rootsSorted.foreach { case (_, root) =>
+        collectLeaves(root).foreach { leaf =>
+          assert(leaf.start == next, "gap or overlap before a leaf")
+          next += leaf.size
+        }
+      }
+      assert(next == 700)
+      assert(idx.ids.length == 700 && idx.series.length == 700 && idx.words.length == 700 * w)
+      // each position carries its own series and that series' word
+      idx.ids.indices.foreach { pos =>
+        val values = data(idx.ids(pos).toInt)._2
+        assert(idx.series(pos) eq values)
+        assert(symbols(idx, pos) sameElements ISax.word(Paa.of(values, w)))
+      }
+    }
+  }
+
+  for ((name, v) <- Seq("NaN" -> Double.NaN, "+Inf" -> Double.PositiveInfinity,
+                        "-Inf" -> Double.NegativeInfinity)) {
+    test(s"a series with a $name value is rejected naming its id") {
+      val err = intercept[IllegalArgumentException](IsaxIndex.build(withValue(v).iterator, IndexConfig()))
+      assert(err.getMessage.contains("id=7"), err.getMessage)
     }
   }
 

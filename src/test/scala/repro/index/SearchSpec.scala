@@ -1,7 +1,9 @@
 package repro.index
 
+import org.scalacheck.{Gen, Prop, Test => Check}
+import org.scalacheck.util.Pretty
 import org.scalatest.funsuite.AnyFunSuite
-import repro.core.SeriesGen
+import repro.core.{ISax, Paa, SeriesGen}
 import repro.core.SeriesGen.presets
 
 class SearchSpec extends AnyFunSuite {
@@ -161,6 +163,46 @@ class SearchSpec extends AnyFunSuite {
     assert(tops.sameElements(tops.sorted))
     assert(run.pqStats.map(_.procOps).sum <= run.totalOps)
     assert(run.batchOps.forall(_ >= 0))
+  }
+
+  // ---- the symbol-table entry bound is the full-cardinality MINDIST, bit for bit ----
+  for (w <- Seq(4, 8, 16); mode <- Seq(Euclidean, Dtw(3))) {
+    test(s"table entry bound == MINDIST of the word exactly (w=$w, $mode)") {
+      val length = 7 * w + 3 // uneven segments
+      val segSizes = Paa.segmentSizes(length, w)
+      val fullBits = Array.fill(w)(ISax.MaxBits)
+      // per-segment levels reach past the outermost breakpoints (about ±2.66)
+      val query = for {
+        levels <- Gen.listOfN(w, Gen.choose(-5.0, 5.0))
+        noise  <- Gen.listOfN(length, Gen.choose(-0.5, 0.5))
+      } yield Array.tabulate(length)(i => levels(i * w / length) + noise(i))
+      val symbol = Gen.frequency(1 -> Gen.const(0), 1 -> Gen.const(255), 4 -> Gen.choose(0, 255))
+      val words = Gen.listOfN(3, Gen.listOfN(w, symbol).map(_.toArray))
+      val prop = Prop.forAll(query, words) { (q, ws) =>
+        val ctx = new QueryCtx(q, mode, w, segSizes)
+        val packed = ws.flatMap(_.map(_.toByte)).toArray
+        ws.indices.forall { pos =>
+          val want = mode match {
+            case Euclidean => ISax.mindistPaaToWord(ctx.paa, segSizes, ws(pos), fullBits)
+            case Dtw(_)    => ISax.mindistEnvToWord(ctx.envUpPaa, ctx.envLoPaa, segSizes, ws(pos), fullBits)
+          }
+          ctx.entryLb(packed, pos) == want
+        }
+      }
+      val res = Check.check(Check.Parameters.default.withMinSuccessfulTests(200), prop)
+      assert(res.passed, Pretty.pretty(res))
+    }
+  }
+
+  for ((name, v) <- Seq("NaN" -> Double.NaN, "+Inf" -> Double.PositiveInfinity,
+                        "-Inf" -> Double.NegativeInfinity); mode <- Seq(Euclidean, Dtw(4))) {
+    test(s"a query with a $name value is rejected ($mode)") {
+      val data = dataset(100, "Seismic")
+      val idx = IsaxIndex.build(data.iterator, IndexConfig())
+      val query = SeriesGen.query(presets.seismic(100), 0).updated(50, v)
+      intercept[IllegalArgumentException](new QueryCtx(query, mode, idx.config.w, idx.segSizes))
+      intercept[IllegalArgumentException](Search.exact(idx, query, SearchParams(mode = mode)))
+    }
   }
 
   test("brute force helper returns ascending distances with correct ids") {
