@@ -79,15 +79,21 @@ object ISax {
     * summarization-buffer / root-subtree key. Segment 0 is the highest bit
     * so the packed value orders words lexicographically by segment.
     */
-  def rootKey(sax: Array[Int]): Int = {
+  def rootKey(sax: Array[Int]): Int = rootKey(sax.length, sax(_))
+
+  /** `rootKey` of the w-symbol full-cardinality word whose symbol i is `symbolAt(i)`. */
+  def rootKey(w: Int, symbolAt: Int => Int): Int = {
     var k = 0
     var i = 0
-    while (i < sax.length) {
-      k = (k << 1) | (sax(i) >>> (MaxBits - 1))
+    while (i < w) {
+      k = (k << 1) | firstBit(symbolAt(i))
       i += 1
     }
     k
   }
+
+  /** Root-word (1-bit) symbol of a full-cardinality symbol. */
+  @inline def firstBit(sym: Int): Int = sym >>> (MaxBits - 1)
 
   /** Region [lo, hi] of `sym` at `bits`; ±∞ at the extremes. */
   @inline def regionLo(sym: Int, bits: Int): Double =

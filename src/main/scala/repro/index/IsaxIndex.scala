@@ -114,11 +114,8 @@ final class IsaxIndex private (val config: IndexConfig, val length: Int) {
 
   /** Routes the series at arrival position `p` down its root subtree to a leaf. */
   private def insert(p: Int): Unit = {
-    var key = 0 // ISax.rootKey of the word
-    var i = 0
-    while (i < config.w) { key = (key << 1) | (symbol(p, i) >>> (ISax.MaxBits - 1)); i += 1 }
-    val root = rootMap.getOrElseUpdate(key,
-      new TreeNode(Array.tabulate(config.w)(symbol(p, _) >>> (ISax.MaxBits - 1)), Array.fill(config.w)(1)))
+    val root = rootMap.getOrElseUpdate(ISax.rootKey(config.w, symbol(p, _)),
+      new TreeNode(Array.tabulate(config.w)(i => ISax.firstBit(symbol(p, i))), Array.fill(config.w)(1)))
     var node = root
     _treeOps += 1
     while (!node.isLeaf) {
