@@ -5,7 +5,7 @@ import repro.core.SeriesGen
 import repro.core.SeriesGen.DatasetSpec
 import repro.index.{IndexConfig, SearchParams, ThresholdModel}
 import repro.index.ThresholdModel.SigmoidFit
-import repro.spark.{BuildStatRow, ChunkReport, DistributedSearch, QueryStatRow}
+import repro.spark.{BuildStatRow, ChunkIndexes, ChunkReport, DistributedSearch, QueryStatRow}
 
 /** Full Odyssey pipeline configuration (Fig. 3).
   *
@@ -59,20 +59,22 @@ object OdysseyCluster {
     val layout = Layout(cfg.nNodes, cfg.k)
     val part = cfg.partitioner(layout.nChunks)
     require(part.nChunks == layout.nChunks, "partitioner chunk count mismatch")
-    val chunkOf = part.chunkOf _
 
-    // Stages 1-2-4 (measurement): LOCAL pass, then SHARED pass if the BSF
-    // channel is on and there is more than one group to share across.
-    val local = DistributedSearch.run(spark, spec, chunkOf, queries, cfg.params,
-                                      cfg.indexConfig, Map.empty, cfg.thresholds)
+    // Stages 1-2-4 (measurement): one shuffle builds every chunk index. If
+    // the BSF channel is on and there is more than one group to share
+    // across, an approximate stage on the resident indexes gives each query
+    // its best initial BSF before the exact stage.
+    val share = cfg.bsfShare && layout.nChunks > 1
+    val indexes = ChunkIndexes.build(spark, spec, part.chunkOf, cfg.indexConfig, persist = share)
     val reports =
-      if (cfg.bsfShare && layout.nChunks > 1) {
-        val bounds = local.flatMap(_.queries)
-          .groupBy(_.qid)
-          .view.mapValues(_.map(_.approxBsf).min).toMap
-        DistributedSearch.run(spark, spec, chunkOf, queries, cfg.params,
-                              cfg.indexConfig, bounds, cfg.thresholds)
-      } else local
+      try {
+        val bounds = if (share) indexes.approxBounds(queries, cfg.params) else Map.empty[Int, Double]
+        indexes.search(queries, cfg.params, bounds, cfg.thresholds)
+      } finally indexes.release()
+    val built = reports.map(_.build.chunk).toSet
+    val empty = (0 until part.nChunks).filterNot(built)
+    require(empty.isEmpty,
+      s"partitioner ${part.name} leaves chunk(s) ${empty.mkString(", ")} of ${part.nChunks} empty")
 
     // Stage 5: exact global answers by merging per-chunk top-k lists.
     val answers = DistributedSearch.mergeAnswers(reports, cfg.params.k)

@@ -1,6 +1,7 @@
 package repro.cluster
 
-import repro.SparkSpec
+import org.apache.spark.storage.StorageLevel
+import repro.{SparkSpec, StageLog}
 import repro.baselines.Competitors
 import repro.core.SeriesGen
 import repro.core.SeriesGen.presets
@@ -66,6 +67,44 @@ class OdysseyClusterSpec extends SparkSpec {
       assert(math.abs(on.answers(q).head._1 - off.answers(q).head._1) < 1e-9)
     }
     assert(on.queryStats.map(_.totalOps).sum < off.queryStats.map(_.totalOps).sum)
+  }
+
+  test("a BSF-sharing run shuffles once and releases its resident indexes") {
+    val cfg = ClusterConfig(4, 4, eqSplit, steal = false)
+    val (res, log) = StageLog.of(spark)(OdysseyCluster.run(spark, spec, queries, cfg))
+    assert(res.reports.map(_.build.chunk) == Seq(0, 1, 2, 3))
+    // one shuffle feeds both the approximate and the exact stage ...
+    assert(log.shuffleWriteStages.size == 1)
+    // ... through indexes held in memory between them, dropped after the run
+    assert(log.storageLevels.contains(StorageLevel.MEMORY_ONLY))
+    assert(spark.sparkContext.getPersistentRDDs.isEmpty)
+  }
+
+  test("a run that throws still releases its resident indexes") {
+    val bad = queries.take(2) :+ queries(2).updated(5, Double.NaN)
+    val e = intercept[Exception](
+      OdysseyCluster.run(spark, spec, bad, ClusterConfig(4, 4, eqSplit, steal = false)))
+    assert(e.getMessage.contains("non-finite"))
+    assert(spark.sparkContext.getPersistentRDDs.isEmpty)
+  }
+
+  test("each of 8 chunks is built in its own post-shuffle task") {
+    val (_, log) = StageLog.of(spark) {
+      OdysseyCluster.run(spark, spec, queries, ClusterConfig(8, 8, eqSplit, steal = false))
+    }
+    val reads = log.shuffleReadsPerTask
+    assert(reads.size == 1, "one stage reads the shuffle; the exact stage reads resident indexes")
+    val chunkSizes = (0L until n.toLong).groupBy(eqSplit(8).chunkOf).values.map(_.size.toLong)
+    assert(reads.values.head.filter(_ > 0).sorted == chunkSizes.toVector.sorted)
+  }
+
+  test("a partitioner that leaves a chunk empty is rejected, naming the chunk") {
+    val skip1 = Partitioning.Table("NO-CHUNK-1", 4,
+      (0L until n.toLong).map(id => id -> Seq(0, 2, 3)((id % 3).toInt)).toMap)
+    val e = intercept[IllegalArgumentException](
+      OdysseyCluster.run(spark, spec, queries.take(2), ClusterConfig(4, 4, _ => skip1)))
+    assert(e.getMessage.contains("chunk(s) 1 of 4 empty"), e.getMessage)
+    assert(spark.sparkContext.getPersistentRDDs.isEmpty)
   }
 
   test("competitor configs expose the paper's semantics") {

@@ -95,6 +95,19 @@ class DistributedSearchSpec extends SparkSpec {
     assert(opsS < opsL)
   }
 
+  for ((label, params) <- Seq("ED k=1" -> SearchParams(), "ED k=4" -> SearchParams(k = 4),
+                              "DTW r=6" -> SearchParams(mode = Dtw(6)));
+       part <- Seq(Partitioning.EquallySplit(400L, 4), Partitioning.RandomShuffle(4))) {
+    test(s"approxBounds is the LOCAL pass's per-query approxBsf minimum ($label, ${part.name})") {
+      val spec = presets.random(400, length = 128)
+      val queries = SeriesGen.queries(spec, 6)
+      val local = DistributedSearch.run(spark, spec, part.chunkOf, queries, params)
+      val want = local.flatMap(_.queries).groupBy(_.qid).view.mapValues(_.map(_.approxBsf).min).toMap
+      val indexes = ChunkIndexes.build(spark, spec, part.chunkOf, IndexConfig(), persist = false)
+      assert(indexes.approxBounds(queries, params) == want)
+    }
+  }
+
   test("build stats report every chunk with the right populations") {
     val n = 300
     val spec = presets.random(n)
